@@ -4,12 +4,14 @@
 Runs the full hardened cluster loop (batched fleet stepping, batched
 telemetry filtering, columnar ledger accounting, cached-pricer capping)
 at several roster sizes and compares against the legacy per-node
-pipeline (per-node ``Platform.step()``, per-node ``TelemetryFilter``
-ingests, uncached ``predict_mixed`` pricing in every capper trial).
+pipeline: the same loop with the per-node references of
+``tests/fleet_oracle.py`` swapped in (per-node ``Platform.step()``,
+per-node ``TelemetryFilter`` ingests, uncached ``predict_mixed``
+pricing in every capper trial).
 
 Gates (CI runs the small-roster smoke)::
 
-    python benchmarks/bench_fleet_scale.py --sizes 16 --intervals 8
+    python benchmarks/bench_fleet_scale.py --sizes 64 --intervals 8
 
 1. batched >= ``--min-speedup`` x the legacy pipeline's
    nodes*intervals/s on the same roster (default 5x);
@@ -28,31 +30,22 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(_HERE, "..", "src"))
+sys.path.insert(0, os.path.join(_HERE, ".."))
+sys.path.insert(0, _HERE)
 
 from _harness import record_bench  # noqa: E402
-
-#: ~5% telemetry fault rates on a third of the roster plus one dead
-#: stream: the acceptance criterion wants the equivalence proven on
-#: fault-injected mixed-SKU rosters, not a clean lab fleet.
-def _fault_specs():
-    from repro.faults.injection import FaultSpec
-
-    return [
-        FaultSpec(
-            drop_rate=0.05,
-            spike_rate=0.05,
-            stuck_rate=0.03,
-            counter_wrap_rate=0.04,
-            stale_rate=0.05,
-        ),
-        None,
-        FaultSpec(dropout_after_interval=12),
-    ]
+from tests import fleet_oracle  # noqa: E402
 
 
 def _build_manager(registry, n_nodes, batched, seed):
+    """The hardened loop on ``n_nodes``; ``batched=False`` is the oracle.
+
+    The roster carries ~5% telemetry fault rates on a third of the
+    nodes plus one dead stream: the equivalence is proven on
+    fault-injected mixed-SKU rosters, not a clean lab fleet.
+    """
     from repro.fleet.cluster_cap import ClusterPowerManager
     from repro.fleet.simulator import make_fleet
     from repro.serve.service import SKU_SPECS
@@ -60,19 +53,15 @@ def _build_manager(registry, n_nodes, batched, seed):
     sku_list = [SKU_SPECS[k] for k in sorted(SKU_SPECS)]
     specs = [sku_list[i % len(sku_list)] for i in range(n_nodes)]
     fleet = make_fleet(
-        specs,
-        registry,
-        base_seed=seed,
-        fault_specs=_fault_specs(),
-        batched=batched,
+        specs, registry, base_seed=seed, fault_specs=fleet_oracle.FAULTS
     )
-    return ClusterPowerManager(
+    manager = ClusterPowerManager(
         fleet,
         cap_schedule=52.0 * n_nodes,
         policy="waterfill",
         harden=True,
-        batched=batched,
     )
+    return manager if batched else fleet_oracle.per_node(manager)
 
 
 def _timed_run(manager, intervals):

@@ -26,12 +26,16 @@ Allocation policies:
 - ``waterfill`` -- every node is first granted its floor (it cannot go
   lower anyway), then the remaining budget fills nodes equally, capped
   at each node's demand (classic waterfilling).
+
+:class:`QuarantinePolicy` is the per-node guard around the cappers
+(bad-streak quarantine and held decisions); the streaming service's
+:class:`~repro.serve.shard.ShardPipeline` uses the same one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,19 +45,16 @@ from repro.dvfs.power_capping import (
     PPEPPowerCapper,
     evaluate_power_series,
 )
-from repro.faults.filtering import (
-    GOOD,
-    BatchTelemetryFilter,
-    FilterConfig,
-    TelemetryFilter,
-)
+from repro.faults.filtering import GOOD, BatchTelemetryFilter, FilterConfig
 from repro.fleet.simulator import FleetSimulator
 
 __all__ = [
     "ALLOCATION_POLICIES",
     "ClusterPowerManager",
     "FleetCappingRun",
+    "QuarantinePolicy",
     "allocate_budget",
+    "check_allocation",
 ]
 
 ALLOCATION_POLICIES = ("uniform", "proportional", "waterfill")
@@ -61,26 +62,53 @@ ALLOCATION_POLICIES = ("uniform", "proportional", "waterfill")
 CapSchedule = Callable[[int], float]
 
 
+def check_allocation(policy: str, budget: Optional[float] = None) -> None:
+    """Raise ``ValueError`` for an unknown policy or a negative budget."""
+    if policy not in ALLOCATION_POLICIES:
+        raise ValueError(
+            "unknown policy {!r}; choose from {}".format(policy, ALLOCATION_POLICIES)
+        )
+    if budget is not None and budget < 0:
+        raise ValueError("budget cannot be negative")
+
+
 def allocate_budget(
     policy: str,
     budget: float,
     demand: np.ndarray,
     floor: np.ndarray,
+    healthy: Optional[Sequence[bool]] = None,
 ) -> np.ndarray:
     """Split ``budget`` watts across nodes; shares never sum above it.
 
     ``demand`` and ``floor`` are the per-node predicted powers at the
     fastest and slowest VF states (see
-    :class:`~repro.fleet.simulator.FleetPrediction`).
+    :class:`~repro.fleet.simulator.FleetPrediction`).  With a
+    ``healthy`` mask, every unhealthy node is granted exactly its floor
+    (it is pinned to its slowest state, so its draw is its floor no
+    matter what it is granted on paper) and the rest of the budget is
+    split among the healthy nodes.
     """
     demand = np.asarray(demand, dtype=float)
     floor = np.asarray(floor, dtype=float)
     if demand.shape != floor.shape or demand.ndim != 1 or demand.size == 0:
         raise ValueError("demand and floor must be equal-length vectors")
-    if budget < 0:
-        raise ValueError("budget cannot be negative")
-    n = demand.size
+    check_allocation(policy, budget)
+    mask = None if healthy is None else np.asarray(healthy, dtype=bool)
+    if mask is None or mask.all():
+        return _split(policy, budget, demand, floor)
+    shares = np.zeros(demand.size)
+    shares[~mask] = floor[~mask]
+    if mask.any():
+        remaining = max(budget - float(floor[~mask].sum()), 0.0)
+        shares[mask] = _split(policy, remaining, demand[mask], floor[mask])
+    return shares
 
+
+def _split(
+    policy: str, budget: float, demand: np.ndarray, floor: np.ndarray
+) -> np.ndarray:
+    n = demand.size
     if policy == "uniform":
         return np.full(n, budget / n)
     if policy == "proportional":
@@ -88,11 +116,7 @@ def allocate_budget(
         if total <= 0:
             return np.full(n, budget / n)
         return budget * demand / total
-    if policy == "waterfill":
-        return _waterfill(budget, demand, floor)
-    raise ValueError(
-        "unknown policy {!r}; choose from {}".format(policy, ALLOCATION_POLICIES)
-    )
+    return _waterfill(budget, demand, floor)
 
 
 def _waterfill(
@@ -176,6 +200,103 @@ class FleetCappingRun:
         )
 
 
+class QuarantinePolicy:
+    """The guard every cluster controller wraps around its node cappers.
+
+    Shared by :class:`ClusterPowerManager` (a synchronous fleet) and
+    :class:`~repro.serve.shard.ShardPipeline` (asynchronously arriving
+    nodes), per node ``i`` of a fixed roster:
+
+    - :meth:`observe` scores one interval's telemetry.  A node whose
+      telemetry stays non-actionable for ``unhealthy_after`` consecutive
+      intervals is unhealthy (quarantined) until one actionable interval
+      re-admits it; each transition emits ``quarantine_enter`` /
+      ``quarantine_exit`` and is recorded in :attr:`quarantined_since`.
+    - :meth:`hold` overrides the capper's decision: an unhealthy node is
+      pinned to its slowest VF state on every CU; a non-actionable
+      interval keeps the held decision if there is one; otherwise the
+      new decision becomes the held one.
+
+    The budget half of the policy -- an unhealthy node is granted only
+    its floor -- is :func:`allocate_budget`'s ``healthy`` mask.
+    Decisions are opaque per-CU lists (VF states for the fleet, VF
+    indices for the shard); ``slowest`` gives each node's pinned
+    decision in the caller's form.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        slowest: Sequence[list],
+        unhealthy_after: int,
+        events=None,
+    ) -> None:
+        if unhealthy_after < 1:
+            raise ValueError("unhealthy_after must be >= 1")
+        self.names = list(names)
+        self.slowest = [list(decision) for decision in slowest]
+        self.unhealthy_after = int(unhealthy_after)
+        self.events = events
+        self.reset()
+
+    def reset(self) -> None:
+        n = len(self.names)
+        #: Consecutive non-actionable intervals per node.
+        self.bad_streak: List[int] = [0] * n
+        #: Interval each quarantined node entered quarantine, else None.
+        self.quarantined_since: List[Optional[int]] = [None] * n
+        #: Last decision applied from actionable telemetry, per node.
+        self.held: List[Optional[list]] = [None] * n
+
+    def healthy(self, i: int) -> bool:
+        """Whether node ``i`` is out of quarantine."""
+        return self.bad_streak[i] < self.unhealthy_after
+
+    def observe(self, i: int, actionable: bool, interval: int) -> bool:
+        """Score node ``i``'s interval; whether the node is healthy."""
+        self.bad_streak[i] = 0 if actionable else self.bad_streak[i] + 1
+        healthy = self.healthy(i)
+        since = self.quarantined_since[i]
+        if not healthy and since is None:
+            self.quarantined_since[i] = interval
+            if self.events is not None:
+                self.events.emit(
+                    "quarantine_enter",
+                    node=self.names[i],
+                    interval=interval,
+                    bad_streak=self.bad_streak[i],
+                )
+        elif healthy and since is not None:
+            self.quarantined_since[i] = None
+            if self.events is not None:
+                self.events.emit(
+                    "quarantine_exit",
+                    node=self.names[i],
+                    interval=interval,
+                    quarantined_intervals=interval - since,
+                )
+        return healthy
+
+    def hold(self, i: int, decision: list, healthy: bool, actionable: bool) -> list:
+        """What node ``i`` applies: pinned, held, or ``decision`` itself."""
+        if not healthy:
+            self.held[i] = None
+            return list(self.slowest[i])
+        if not actionable:
+            held = self.held[i]
+            return decision if held is None else list(held)
+        self.held[i] = list(decision)
+        return decision
+
+    def load(self, bad_streak, quarantined_since, held) -> None:
+        """Restore the per-node state (sequences in roster order)."""
+        self.bad_streak = [int(s) for s in bad_streak]
+        self.quarantined_since = [
+            None if since is None else int(since) for since in quarantined_since
+        ]
+        self.held = [None if h is None else list(h) for h in held]
+
+
 class ClusterPowerManager:
     """Apportions a cluster budget; nodes run one-step PPEP capping.
 
@@ -192,13 +313,13 @@ class ClusterPowerManager:
         Forwarded to each node's :class:`PPEPPowerCapper`.
     harden:
         Run every node's telemetry through a
-        :class:`~repro.faults.filtering.TelemetryFilter` before
+        :class:`~repro.faults.filtering.BatchTelemetryFilter` before
         prediction and allocation.  Nodes whose quality stays bad for
         ``unhealthy_after`` consecutive intervals are declared
-        unhealthy: pinned to their slowest VF state, granted only their
-        predicted floor power, with the rest of the budget re-allocated
-        to healthy nodes.  A node whose telemetry recovers is re-admitted
-        automatically.
+        unhealthy (see :class:`QuarantinePolicy`): pinned to their
+        slowest VF state, granted only their predicted floor power, with
+        the rest of the budget re-allocated to healthy nodes.  A node
+        whose telemetry recovers is re-admitted automatically.
     unhealthy_after:
         Consecutive bad intervals before a node is declared unhealthy.
     filter_config:
@@ -213,6 +334,11 @@ class ClusterPowerManager:
         node and interval, the power PPEP predicted one step ahead for
         the VF assignment the manager chose against the power the node
         then measured -- the online Figure 7 accuracy.
+
+    Every layer runs on its batched kernel: fleet stepping
+    (:class:`~repro.fleet.engine.FleetEngine`), one filter pass over
+    the node axis, cached mixed-assignment pricing in the node cappers,
+    and columnar ledger recording.
     """
 
     def __init__(
@@ -227,56 +353,36 @@ class ClusterPowerManager:
         filter_config: FilterConfig = None,
         events=None,
         ledger=None,
-        batched: bool = True,
     ) -> None:
-        if policy not in ALLOCATION_POLICIES:
-            raise ValueError(
-                "unknown policy {!r}; choose from {}".format(
-                    policy, ALLOCATION_POLICIES
-                )
-            )
-        if unhealthy_after < 1:
-            raise ValueError("unhealthy_after must be >= 1")
+        check_allocation(policy)
         self.fleet = fleet
         self.policy = policy
-        #: Batched mode (the default) runs the struct-of-arrays
-        #: pipeline: cached mixed-assignment pricing in the node
-        #: cappers, one BatchTelemetryFilter pass instead of N ingests,
-        #: and columnar ledger recording.  ``batched=False`` is the
-        #: per-node legacy path the equivalence suite compares against.
-        self.batched = bool(batched)
         self._schedule = (
             cap_schedule if callable(cap_schedule) else (lambda _s: float(cap_schedule))
         )
         self._budgets = [ExternalBudget() for _ in fleet.nodes]
         self._cappers = [
-            PPEPPowerCapper(
-                node.ppep,
-                budget,
-                margin=margin,
-                bias_gain=bias_gain,
-                use_pricer=self.batched,
-            )
+            PPEPPowerCapper(node.ppep, budget, margin=margin, bias_gain=bias_gain)
             for node, budget in zip(fleet.nodes, self._budgets)
         ]
         self.harden = bool(harden)
-        self.unhealthy_after = int(unhealthy_after)
-        if not self.harden:
-            self._filters = None
-        elif self.batched:
-            self._filters = BatchTelemetryFilter(
-                [node.spec for node in fleet.nodes], filter_config
-            )
-        else:
-            self._filters = [
-                TelemetryFilter(node.spec, filter_config) for node in fleet.nodes
-            ]
-        self._bad_streak = np.zeros(len(fleet.nodes), dtype=np.int64)
-        self._held = [None] * len(fleet.nodes)
+        self._guard = QuarantinePolicy(
+            [node.name for node in fleet.nodes],
+            [
+                [node.spec.vf_table.slowest] * node.spec.num_cus
+                for node in fleet.nodes
+            ],
+            unhealthy_after,
+            events,
+        )
+        self._filters = (
+            BatchTelemetryFilter([node.spec for node in fleet.nodes], filter_config)
+            if self.harden
+            else None
+        )
         self._step = 0
         self.events = events
         self.ledger = ledger
-        self._quarantined_since = [None] * len(fleet.nodes)
         self._pending = [None] * len(fleet.nodes)
         self._last_alloc = None
 
@@ -285,14 +391,8 @@ class ClusterPowerManager:
         for capper in self._cappers:
             capper.reset()
         if self._filters is not None:
-            if self.batched:
-                self._filters.reset()
-            else:
-                for filt in self._filters:
-                    filt.reset()
-        self._bad_streak = np.zeros(len(self.fleet.nodes), dtype=np.int64)
-        self._held = [None] * len(self.fleet.nodes)
-        self._quarantined_since = [None] * len(self.fleet.nodes)
+            self._filters.reset()
+        self._guard.reset()
         self._pending = [None] * len(self.fleet.nodes)
         self._last_alloc = None
 
@@ -303,15 +403,16 @@ class ClusterPowerManager:
         and budget state, per-node filter state, and the last emitted
         allocation signature (so a restart does not re-emit a duplicate
         ``cap_reallocation`` event)."""
+        guard = self._guard
         return {
             "nodes": [node.name for node in self.fleet.nodes],
             "step": self._step,
-            "bad_streak": [int(s) for s in self._bad_streak],
+            "bad_streak": list(guard.bad_streak),
             "held": [
                 None if held is None else [vf.index for vf in held]
-                for held in self._held
+                for held in guard.held
             ],
-            "quarantined_since": list(self._quarantined_since),
+            "quarantined_since": list(guard.quarantined_since),
             "pending": [
                 None if pending is None else [pending[0], pending[1]]
                 for pending in self._pending
@@ -323,17 +424,10 @@ class ClusterPowerManager:
             ),
             "budgets": [budget.state_dict() for budget in self._budgets],
             "cappers": [capper.state_dict() for capper in self._cappers],
-            # Always one TelemetryFilter-format dict per node, whichever
-            # filtering mode produced it, so batched and per-node
-            # managers restore each other's checkpoints.
+            # One TelemetryFilter-format dict per node, so a checkpoint
+            # restores into per-node filters as well.
             "filters": (
-                None
-                if self._filters is None
-                else (
-                    self._filters.node_state_dicts()
-                    if self.batched
-                    else [filt.state_dict() for filt in self._filters]
-                )
+                None if self._filters is None else self._filters.node_state_dicts()
             ),
         }
 
@@ -349,21 +443,16 @@ class ClusterPowerManager:
                 "checkpoint hardening mode does not match this manager"
             )
         self._step = int(state["step"])
-        self._bad_streak = np.array(
-            [int(s) for s in state["bad_streak"]], dtype=np.int64
+        self._guard.load(
+            state["bad_streak"],
+            state["quarantined_since"],
+            [
+                None
+                if held is None
+                else [node.spec.vf_table.by_index(int(index)) for index in held]
+                for node, held in zip(self.fleet.nodes, state["held"])
+            ],
         )
-        self._held = [
-            None
-            if held is None
-            else [
-                node.spec.vf_table.by_index(int(index)) for index in held
-            ]
-            for node, held in zip(self.fleet.nodes, state["held"])
-        ]
-        self._quarantined_since = [
-            None if since is None else int(since)
-            for since in state["quarantined_since"]
-        ]
         self._pending = [
             None if pending is None else (int(pending[0]), float(pending[1]))
             for pending in state["pending"]
@@ -381,11 +470,7 @@ class ClusterPowerManager:
         for capper, capper_state in zip(self._cappers, state["cappers"]):
             capper.load_state_dict(capper_state)
         if self._filters is not None:
-            if self.batched:
-                self._filters.load_node_state_dicts(list(state["filters"]))
-            else:
-                for filt, filter_state in zip(self._filters, state["filters"]):
-                    filt.load_state_dict(filter_state)
+            self._filters.load_node_state_dicts(list(state["filters"]))
 
     def run(
         self,
@@ -414,30 +499,26 @@ class ClusterPowerManager:
         record = FleetCappingRun(
             node_names=[node.name for node in self.fleet.nodes]
         )
+        guard = self._guard
         for _ in range(n_intervals):
             samples = self.fleet.step()
             if self.harden:
-                filtered = self._ingest(samples)
-                actionable = np.fromiter(
-                    (verdict.actionable for verdict in filtered),
-                    dtype=bool,
-                    count=len(filtered),
-                )
-                self._bad_streak = np.where(
-                    actionable, 0, self._bad_streak + 1
-                )
-                healthy = [
-                    bool(h) for h in self._bad_streak < self.unhealthy_after
-                ]
+                filtered = self._filters.ingest_many(list(samples))
                 clean = [verdict.sample for verdict in filtered]
+                actionable = [verdict.actionable for verdict in filtered]
             else:
                 filtered = None
-                healthy = [True] * len(self.fleet.nodes)
                 clean = samples
+                actionable = [True] * len(samples)
             self._observe_interval(samples, filtered)
+            healthy = [
+                guard.observe(i, ok, self._step) for i, ok in enumerate(actionable)
+            ]
             prediction = self.fleet.predict(clean)
             cap = self._schedule(self._step)
-            shares = self._allocate(cap, prediction, healthy)
+            shares = allocate_budget(
+                self.policy, cap, prediction.demand, prediction.floor, healthy
+            )
             self._observe_allocation(cap, healthy)
             for i, (node, budget, capper, share) in enumerate(
                 zip(self.fleet.nodes, self._budgets, self._cappers, shares)
@@ -446,15 +527,9 @@ class ClusterPowerManager:
                 # The inner capper always sees the (cleaned) sample so
                 # its schedule step and bias corrector stay in lockstep
                 # with the platform, even when its decision is overridden.
-                decision = list(capper.decide(clean[i]))
-                if not healthy[i]:
-                    decision = [node.spec.vf_table.slowest] * node.spec.num_cus
-                    self._held[i] = None
-                elif filtered is not None and not filtered[i].actionable:
-                    if self._held[i] is not None:
-                        decision = list(self._held[i])
-                else:
-                    self._held[i] = list(decision)
+                decision = guard.hold(
+                    i, list(capper.decide(clean[i])), healthy[i], actionable[i]
+                )
                 for cu, vf in enumerate(decision):
                     node.platform.set_cu_vf(cu, vf)
                 if self.ledger is not None:
@@ -475,18 +550,9 @@ class ClusterPowerManager:
             record.node_true_powers.append([s.true_power for s in samples])
             if filtered is not None:
                 record.node_quality.append([v.quality for v in filtered])
-                record.node_healthy.append(list(healthy))
+                record.node_healthy.append(healthy)
             self._step += 1
         return record
-
-    def _ingest(self, samples):
-        """One interval of telemetry filtering, batched or per node."""
-        if self.batched:
-            return self._filters.ingest_many(list(samples))
-        return [
-            filt.ingest(sample)
-            for filt, sample in zip(self._filters, samples)
-        ]
 
     def _observe_interval(self, samples, filtered) -> None:
         """Per-interval observability: verdict events + ledger rows.
@@ -536,33 +602,12 @@ class ClusterPowerManager:
                         ),
                     )
                 )
-            if self.batched:
-                self.ledger.record_many(rows)
-            else:
-                for row in rows:
-                    self.ledger.record(**row)
+            self.ledger.record_many(rows)
 
     def _observe_allocation(self, cap, healthy) -> None:
-        """Quarantine-transition and budget-reallocation events."""
+        """A ``cap_reallocation`` event when (budget, healthy set) changes."""
         if self.events is None:
             return
-        for i, node in enumerate(self.fleet.nodes):
-            if not healthy[i] and self._quarantined_since[i] is None:
-                self._quarantined_since[i] = self._step
-                self.events.emit(
-                    "quarantine_enter",
-                    node=node.name,
-                    interval=self._step,
-                    bad_streak=self._bad_streak[i],
-                )
-            elif healthy[i] and self._quarantined_since[i] is not None:
-                self.events.emit(
-                    "quarantine_exit",
-                    node=node.name,
-                    interval=self._step,
-                    quarantined_intervals=self._step - self._quarantined_since[i],
-                )
-                self._quarantined_since[i] = None
         allocation = (float(cap), tuple(healthy))
         if allocation != self._last_alloc:
             self._last_alloc = allocation
@@ -582,21 +627,3 @@ class ClusterPowerManager:
             states, sample.temperature, decision, sample.power_gating
         )
         return decision[0].index, float(power)
-
-    def _allocate(self, cap, prediction, healthy) -> np.ndarray:
-        """Budget shares; unhealthy nodes get only their floor."""
-        demand = prediction.demand
-        floor = prediction.floor
-        mask = np.asarray(healthy, dtype=bool)
-        if mask.all():
-            return allocate_budget(self.policy, cap, demand, floor)
-        shares = np.zeros(len(mask))
-        # An unhealthy node is pinned to its slowest state, so its draw
-        # is its floor no matter what it is granted on paper.
-        shares[~mask] = floor[~mask]
-        remaining = max(cap - float(floor[~mask].sum()), 0.0)
-        if mask.any():
-            shares[mask] = allocate_budget(
-                self.policy, remaining, demand[mask], floor[mask]
-            )
-        return shares

@@ -48,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.fleet.cluster_cap import check_allocation
 from repro.obs.events import EventLog
 from repro.serve.checkpoint import read_checkpoint
 from repro.serve.protocol import ACCEPTED, DUPLICATE, RETRY, SHED, ProtocolError
@@ -71,8 +72,11 @@ class ShardSpec:
     unhealthy_after: int = 3
     filter_config: object = None
     ledger_kwargs: Optional[dict] = field(default=None)
-    #: Run the shard pipeline on the batched pricing kernel (default on).
-    batched: bool = True
+
+    def __post_init__(self) -> None:
+        # Rejected here, before the manager forks: inside the worker
+        # every round close would raise and be counted as an error.
+        check_allocation(self.policy, self.budget_w)
 
 
 class _ShardHandle:
@@ -198,7 +202,6 @@ class ShardManager:
                 "unhealthy_after": shard.unhealthy_after,
                 "filter_config": shard.filter_config,
                 "ledger_kwargs": shard.ledger_kwargs,
-                "batched": shard.batched,
                 "epoch": 0,
                 "disk_chaos": disk_chaos,
                 "checkpoint_path": (

@@ -28,11 +28,13 @@ import signal
 import time
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.dvfs.power_capping import ExternalBudget, PPEPPowerCapper
 from repro.faults.filtering import FilterConfig, HardenedPPEP
-from repro.fleet.cluster_cap import allocate_budget
+from repro.fleet.cluster_cap import (
+    QuarantinePolicy,
+    allocate_budget,
+    check_allocation,
+)
 from repro.hardware.platform import IntervalSample
 from repro.obs.events import EventLog
 from repro.obs.ledger import PredictionLedger
@@ -96,31 +98,28 @@ class ShardPipeline:
         ledger_kwargs: Optional[dict] = None,
         margin: float = 0.97,
         bias_gain: float = 0.25,
-        batched: bool = True,
     ) -> None:
         if not node_names:
             raise ValueError("a shard needs at least one node")
         if len(set(node_names)) != len(node_names):
             raise ValueError("node names must be unique")
-        if unhealthy_after < 1:
-            raise ValueError("unhealthy_after must be >= 1")
+        check_allocation(policy, budget_w)
         self.sku = sku
         self.spec = spec
         self.ppep = ppep
-        #: Run the per-node cappers on the cached struct-of-arrays
-        #: pricing kernel (bit-identical decisions; the legacy
-        #: ``batched=False`` path re-prices every trial assignment from
-        #: scratch).  Nodes deliver intervals asynchronously, so the
-        #: shard's cross-node batching stays at the allocation round;
-        #: the per-interval kernel win is the cached pricer.
-        self.batched = bool(batched)
         self.node_names = list(node_names)
         self.budget_w = (
             float(budget_w) if budget_w is not None else 90.0 * len(node_names)
         )
         self.policy = policy
-        self.unhealthy_after = int(unhealthy_after)
         self.events = events
+        self._guard = QuarantinePolicy(
+            self.node_names,
+            [[spec.vf_table.slowest.index] * spec.num_cus] * len(self.node_names),
+            unhealthy_after,
+            events,
+        )
+        self._index = {name: i for i, name in enumerate(self.node_names)}
         self.ledger = PredictionLedger(events=events, **(ledger_kwargs or {}))
         self._budgets: Dict[str, ExternalBudget] = {}
         self._cappers: Dict[str, PPEPPowerCapper] = {}
@@ -129,11 +128,7 @@ class ShardPipeline:
             budget = ExternalBudget(self.budget_w / len(self.node_names))
             self._budgets[name] = budget
             self._cappers[name] = PPEPPowerCapper(
-                ppep,
-                budget,
-                margin=margin,
-                bias_gain=bias_gain,
-                use_pricer=self.batched,
+                ppep, budget, margin=margin, bias_gain=bias_gain
             )
             self._hardened[name] = HardenedPPEP(
                 ppep,
@@ -142,13 +137,6 @@ class ShardPipeline:
                 events=events,
                 ledger=self.ledger,
             )
-        self._bad_streak = {name: 0 for name in self.node_names}
-        self._quarantined_since: Dict[str, Optional[int]] = {
-            name: None for name in self.node_names
-        }
-        self._held: Dict[str, Optional[List[int]]] = {
-            name: None for name in self.node_names
-        }
         #: Cleaned samples of the in-flight allocation round.
         self._round: Dict[str, IntervalSample] = {}
         self._last_alloc = None
@@ -173,35 +161,33 @@ class ShardPipeline:
         self.intervals[node] = interval + 1
         self.processed += 1
 
-        streak = 0 if filtered.actionable else self._bad_streak[node] + 1
-        self._bad_streak[node] = streak
-        healthy = streak < self.unhealthy_after
-        self._observe_health(node, interval, healthy)
-
+        i = self._index[node]
+        guard = self._guard
+        healthy = guard.observe(i, filtered.actionable, interval)
+        held = guard.held[i]
         # The capper always sees the cleaned sample so its bias
         # corrector and schedule step stay in lockstep with the stream,
         # even when its decision is overridden below.
-        decision = [vf.index for vf in self._cappers[node].decide(filtered.sample)]
-        if not healthy:
-            decision = [self.spec.vf_table.slowest.index] * self.spec.num_cus
-            self._held[node] = None
-        elif not filtered.actionable:
-            if self._held[node] is not None:
-                decision = list(self._held[node])
-        else:
-            if (
-                self.events is not None
-                and self._held[node] is not None
-                and decision != self._held[node]
-            ):
-                self.events.emit(
-                    "vf_transition",
-                    node=node,
-                    interval=interval,
-                    from_vf=list(self._held[node]),
-                    to_vf=list(decision),
-                )
-            self._held[node] = list(decision)
+        decision = guard.hold(
+            i,
+            [vf.index for vf in self._cappers[node].decide(filtered.sample)],
+            healthy,
+            filtered.actionable,
+        )
+        if (
+            self.events is not None
+            and healthy
+            and filtered.actionable
+            and held is not None
+            and decision != held
+        ):
+            self.events.emit(
+                "vf_transition",
+                node=node,
+                interval=interval,
+                from_vf=list(held),
+                to_vf=list(decision),
+            )
 
         if node in self._round:
             # The node lapped a straggler: close the round with whoever
@@ -237,27 +223,6 @@ class ShardPipeline:
             "decision": decision,
         }
 
-    def _observe_health(self, node: str, interval: int, healthy: bool) -> None:
-        since = self._quarantined_since[node]
-        if not healthy and since is None:
-            self._quarantined_since[node] = interval
-            if self.events is not None:
-                self.events.emit(
-                    "quarantine_enter",
-                    node=node,
-                    interval=interval,
-                    bad_streak=self._bad_streak[node],
-                )
-        elif healthy and since is not None:
-            self._quarantined_since[node] = None
-            if self.events is not None:
-                self.events.emit(
-                    "quarantine_exit",
-                    node=node,
-                    interval=interval,
-                    quarantined_intervals=interval - since,
-                )
-
     def _allocate_round(self) -> None:
         """Split the shard budget across the round's nodes.
 
@@ -272,33 +237,14 @@ class ShardPipeline:
         samples = [self._round[n] for n in names]
         self._round = {}
         batch = self.ppep.batched_predictor().predict_samples(samples)
-        demand = np.asarray(batch.demand, dtype=float)
-        floor = np.asarray(batch.floor, dtype=float)
-        healthy = np.array(
-            [
-                self._bad_streak[n] < self.unhealthy_after
-                for n in names
-            ],
-            dtype=bool,
+        healthy = [self._guard.healthy(self._index[n]) for n in names]
+        shares = allocate_budget(
+            self.policy, self.budget_w, batch.demand, batch.floor, healthy
         )
-        if healthy.all():
-            shares = allocate_budget(self.policy, self.budget_w, demand, floor)
-        else:
-            shares = np.zeros(len(names))
-            shares[~healthy] = floor[~healthy]
-            remaining = max(self.budget_w - float(floor[~healthy].sum()), 0.0)
-            if healthy.any():
-                shares[healthy] = allocate_budget(
-                    self.policy, remaining, demand[healthy], floor[healthy]
-                )
         for name, share in zip(names, shares):
             self._budgets[name].set(float(share))
         self.allocations += 1
-        signature = (
-            self.budget_w,
-            tuple(bool(h) for h in healthy),
-            tuple(names),
-        )
+        signature = (self.budget_w, tuple(healthy), tuple(names))
         if signature != self._last_alloc:
             self._last_alloc = signature
             if self.events is not None:
@@ -307,7 +253,7 @@ class ShardPipeline:
                     node="shard-{}".format(self.sku),
                     interval=max(self.intervals.values()) - 1,
                     budget_w=float(self.budget_w),
-                    healthy_nodes=int(healthy.sum()),
+                    healthy_nodes=sum(healthy),
                     total_nodes=len(self.node_names),
                 )
 
@@ -321,18 +267,18 @@ class ShardPipeline:
         allocation -- well inside the one-checkpoint-period restart
         guarantee.
         """
+        guard = self._guard
         return {
             "sku": self.sku,
             "nodes": list(self.node_names),
             "processed": self.processed,
             "allocations": self.allocations,
             "intervals": dict(self.intervals),
-            "bad_streak": dict(self._bad_streak),
-            "quarantined_since": dict(self._quarantined_since),
-            "held": {
-                name: None if held is None else list(held)
-                for name, held in self._held.items()
-            },
+            "bad_streak": dict(zip(self.node_names, guard.bad_streak)),
+            "quarantined_since": dict(
+                zip(self.node_names, guard.quarantined_since)
+            ),
+            "held": self.held_decisions(),
             "last_alloc": (
                 None
                 if self._last_alloc is None
@@ -369,17 +315,12 @@ class ShardPipeline:
         self.intervals = {
             name: int(v) for name, v in state["intervals"].items()
         }
-        self._bad_streak = {
-            name: int(v) for name, v in state["bad_streak"].items()
-        }
-        self._quarantined_since = {
-            name: None if v is None else int(v)
-            for name, v in state["quarantined_since"].items()
-        }
-        self._held = {
-            name: None if held is None else [int(i) for i in held]
-            for name, held in state["held"].items()
-        }
+        names = self.node_names
+        self._guard.load(
+            [state["bad_streak"][name] for name in names],
+            [state["quarantined_since"][name] for name in names],
+            [state["held"][name] for name in names],
+        )
         self._last_alloc = (
             None
             if state["last_alloc"] is None
@@ -419,7 +360,7 @@ class ShardPipeline:
         """
         return {
             name: None if held is None else list(held)
-            for name, held in self._held.items()
+            for name, held in zip(self.node_names, self._guard.held)
         }
 
     def stats(self) -> dict:
@@ -428,7 +369,7 @@ class ShardPipeline:
             "processed": self.processed,
             "allocations": self.allocations,
             "quarantined": sum(
-                1 for since in self._quarantined_since.values() if since is not None
+                1 for since in self._guard.quarantined_since if since is not None
             ),
             "drift_flags": len(self.ledger.drift_flags),
         }
@@ -481,7 +422,6 @@ def shard_worker_main(config: dict, in_queue, out_queue) -> None:
         filter_config=config.get("filter_config"),
         events=events,
         ledger_kwargs=config.get("ledger_kwargs"),
-        batched=config.get("batched", True),
     )
     epoch = int(config.get("epoch", 0))
     delivered = 0

@@ -3,8 +3,9 @@
 Pins the three contracts DESIGN.md section 13 promises:
 
 1. the backend boundary is free -- driving a ``SimulatorBackend``
-   through :func:`run_backend_controlled` is bit-identical to driving
-   the wrapped platform through :func:`run_controlled`;
+   through :func:`run_backend_controlled` (which is what
+   :func:`run_controlled` does) is bit-identical to stepping the
+   wrapped platform directly;
 2. ``FlakyBackend`` is deterministic (same seed + spec => same fault
    schedule) and a disabled spec is bitwise-invisible;
 3. ``BackendGuard`` retries transients with bounded budgets, degrades
@@ -153,18 +154,34 @@ class TestSimulatorBackend:
         assert backend.get_power_gating()
 
     def test_loop_is_bit_identical_to_run_controlled(self):
-        reference = run_controlled(
-            make_platform(seed=9), CyclingController(), 5,
-            initial_vf=FX8320_SPEC.vf_table.fastest,
-        )
-        boundary = run_backend_controlled(
-            SimulatorBackend(make_platform(seed=9)), CyclingController(), 5,
-            initial_vf=FX8320_SPEC.vf_table.fastest,
-        )
-        assert [observables(s) for s in boundary.samples] == [
-            observables(s) for s in reference.samples
-        ]
-        assert boundary.decisions == reference.decisions
+        # The oracle drives the platform directly, with no backend in
+        # between: step, decide, apply.
+        platform = make_platform(seed=9)
+        platform.set_all_vf(FX8320_SPEC.vf_table.fastest)
+        controller = CyclingController()
+        samples, decisions = [], []
+        for _ in range(5):
+            sample = platform.step()
+            decision = list(controller.decide(sample))
+            for cu, vf in enumerate(decision):
+                platform.set_cu_vf(cu, vf)
+            samples.append(sample)
+            decisions.append(decision)
+
+        for run in (
+            run_controlled(
+                make_platform(seed=9), CyclingController(), 5,
+                initial_vf=FX8320_SPEC.vf_table.fastest,
+            ),
+            run_backend_controlled(
+                SimulatorBackend(make_platform(seed=9)), CyclingController(), 5,
+                initial_vf=FX8320_SPEC.vf_table.fastest,
+            ),
+        ):
+            assert [observables(s) for s in run.samples] == [
+                observables(s) for s in samples
+            ]
+            assert run.decisions == decisions
 
 
 class TestFlakySpec:

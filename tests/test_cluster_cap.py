@@ -5,6 +5,8 @@ import pytest
 
 from repro.dvfs.power_capping import square_wave_cap
 from repro.fleet import ClusterPowerManager, allocate_budget, make_fleet
+from repro.fleet.cluster_cap import QuarantinePolicy
+from repro.obs.events import EventLog
 from repro.hardware.microarch import FX8320_SPEC
 
 
@@ -50,6 +52,28 @@ class TestAllocateBudget:
             shares = allocate_budget(policy, 55.0, self.DEMAND, self.FLOOR)
             assert shares.sum() <= 55.0 + 1e-9
 
+    def test_unhealthy_nodes_get_only_their_floor(self):
+        shares = allocate_budget(
+            "proportional", 70.0, self.DEMAND, self.FLOOR,
+            healthy=[True, False, True],
+        )
+        # Node 1 is pinned to its 20 W floor; the other 50 W follow the
+        # healthy nodes' demand (80 : 20).
+        np.testing.assert_allclose(shares, [40.0, 20.0, 10.0])
+        np.testing.assert_allclose(
+            allocate_budget(
+                "uniform", 10.0, self.DEMAND, self.FLOOR,
+                healthy=[False, False, True],
+            ),
+            [30.0, 20.0, 0.0],
+        )
+        np.testing.assert_array_equal(
+            allocate_budget(
+                "waterfill", 95.0, self.DEMAND, self.FLOOR, healthy=[True] * 3
+            ),
+            allocate_budget("waterfill", 95.0, self.DEMAND, self.FLOOR),
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             allocate_budget("nonsense", 50.0, self.DEMAND, self.FLOOR)
@@ -57,6 +81,38 @@ class TestAllocateBudget:
             allocate_budget("uniform", -1.0, self.DEMAND, self.FLOOR)
         with pytest.raises(ValueError):
             allocate_budget("uniform", 50.0, self.DEMAND, self.FLOOR[:2])
+
+
+class TestQuarantinePolicy:
+    def test_streak_quarantine_and_readmission(self):
+        events = EventLog()
+        guard = QuarantinePolicy(["a", "b"], [[1, 1], [1, 1]], 2, events)
+        assert guard.observe(0, False, 0)
+        assert not guard.observe(0, False, 1)  # second BAD interval
+        assert guard.quarantined_since == [1, None]
+        assert not guard.observe(0, False, 2)  # no second enter event
+        assert guard.observe(0, True, 3)
+        assert guard.quarantined_since == [None, None]
+        assert [(e["type"], e["node"], e["interval"]) for e in events.records] == [
+            ("quarantine_enter", "a", 1),
+            ("quarantine_exit", "a", 3),
+        ]
+        assert events.records[0]["bad_streak"] == 2
+        assert events.records[1]["quarantined_intervals"] == 2
+
+    def test_hold_pins_keeps_and_adopts(self):
+        guard = QuarantinePolicy(["a"], [[1, 1]], 3)
+        # Nothing held yet: a non-actionable interval passes through.
+        assert guard.hold(0, [5, 4], True, False) == [5, 4]
+        assert guard.held == [None]
+        assert guard.hold(0, [5, 3], True, True) == [5, 3]  # adopted
+        assert guard.hold(0, [2, 2], True, False) == [5, 3]  # kept
+        assert guard.hold(0, [4, 4], False, True) == [1, 1]  # pinned
+        assert guard.held == [None]
+
+    def test_rejects_nonpositive_threshold(self):
+        with pytest.raises(ValueError, match="unhealthy_after"):
+            QuarantinePolicy(["a"], [[1]], 0)
 
 
 class TestClusterPowerManager:

@@ -4,49 +4,31 @@ The fleet kernel's contract is not "close": every layer -- stepping
 (:class:`~repro.fleet.engine.FleetEngine`), filtering
 (:class:`~repro.faults.filtering.BatchTelemetryFilter`), ledger
 accounting (:meth:`~repro.obs.ledger.PredictionLedger.record_many`),
-capper pricing (:class:`~repro.core.ppep.MixedPricer`), and the batched
-:class:`~repro.fleet.cluster_cap.ClusterPowerManager` loop -- must
-reproduce the per-node path bit for bit, the same way PR 2 proved
-``VectorEngine`` against the scalar engine.  These tests run mixed-SKU
-rosters with ~5% fault rates, drive quarantine enter/exit, and swap
-checkpoints across modes mid-run.
+capper pricing (:class:`~repro.core.ppep.MixedPricer`), and the
+:class:`~repro.fleet.cluster_cap.ClusterPowerManager` loop built on
+them -- must reproduce the per-node references of
+:mod:`tests.fleet_oracle` bit for bit, the same way ``VectorEngine`` is
+proven against the scalar engine.  These tests run mixed-SKU rosters
+with ~5% fault rates, drive quarantine enter/exit, and swap checkpoints
+between the batched and the reference controller mid-run.
 """
 
 import random
 
-import numpy as np
-import pytest
-
 from repro.faults.filtering import BatchTelemetryFilter, TelemetryFilter
-from repro.faults.injection import FaultSpec
 from repro.fleet.cluster_cap import ClusterPowerManager
 from repro.fleet.simulator import make_fleet
-from repro.hardware.microarch import FX8320_SPEC, PHENOM_II_SPEC
+from repro.hardware.microarch import FX8320_SPEC
 from repro.obs.events import EventLog
 from repro.obs.ledger import PredictionLedger
-
-MIXED_SPECS = [
-    FX8320_SPEC,
-    PHENOM_II_SPEC,
-    FX8320_SPEC,
-    PHENOM_II_SPEC,
-    FX8320_SPEC,
-    FX8320_SPEC,
-]
-
-#: ~5% fault rates on some nodes, one clean node, one dropout node --
-#: exercises stale/spike/stuck repair, BAD streaks, and quarantine.
-FAULTS = [
-    FaultSpec(
-        drop_rate=0.05,
-        spike_rate=0.05,
-        stuck_rate=0.03,
-        counter_wrap_rate=0.04,
-        stale_rate=0.05,
-    ),
-    None,
-    FaultSpec(dropout_after_interval=12),
-]
+from tests.fleet_oracle import (
+    FAULTS,
+    MIXED_SPECS,
+    PerNodeStepper,
+    UncachedModel,
+    per_node,
+    per_node_shard,
+)
 
 
 def _sample_fields(sample):
@@ -67,29 +49,25 @@ def _sample_fields(sample):
 
 class TestFleetEngineStepping:
     def test_batched_step_bit_identical(self, tiny_registry):
-        batched = make_fleet(
-            MIXED_SPECS, tiny_registry, fault_specs=FAULTS, batched=True
+        batched = make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS)
+        scalar = PerNodeStepper(
+            make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS).nodes
         )
-        scalar = make_fleet(
-            MIXED_SPECS, tiny_registry, fault_specs=FAULTS, batched=False
-        )
+        batched_intervals = 0
         for _ in range(30):
             rows_a = batched.step()
             rows_b = scalar.step()
             for a, b in zip(rows_a, rows_b):
                 assert _sample_fields(a) == _sample_fields(b)
+            batched_intervals += batched._engine.last_batched
         # The kernel actually batched work (whole-interval-steady nodes
         # exist in this workload mix); ineligible intervals fall back.
-        assert batched._engine is not None
-
-    def test_batched_flag_off_has_no_engine(self, tiny_registry):
-        fleet = make_fleet(MIXED_SPECS[:2], tiny_registry, batched=False)
-        assert fleet._engine is None
+        assert batched_intervals > 0
 
 
 class TestMixedPricer:
     def test_price_matches_predict_mixed(self, tiny_registry):
-        fleet = make_fleet([FX8320_SPEC], tiny_registry, batched=False)
+        fleet = make_fleet([FX8320_SPEC], tiny_registry)
         node = fleet.nodes[0]
         sample = node.platform.step()
         states = node.ppep.core_states(sample)
@@ -110,11 +88,11 @@ class TestMixedPricer:
     def test_capper_pricer_decisions_identical(self, tiny_registry):
         from repro.dvfs.power_capping import ExternalBudget, PPEPPowerCapper
 
-        fleet = make_fleet([FX8320_SPEC], tiny_registry, batched=False)
+        fleet = make_fleet([FX8320_SPEC], tiny_registry)
         node = fleet.nodes[0]
         budget_a, budget_b = ExternalBudget(60.0), ExternalBudget(60.0)
-        fast = PPEPPowerCapper(node.ppep, budget_a, use_pricer=True)
-        slow = PPEPPowerCapper(node.ppep, budget_b, use_pricer=False)
+        fast = PPEPPowerCapper(node.ppep, budget_a)
+        slow = PPEPPowerCapper(UncachedModel(node.ppep), budget_b)
         for _ in range(10):
             sample = node.platform.step()
             da = [vf.index for vf in fast.decide(sample)]
@@ -124,9 +102,7 @@ class TestMixedPricer:
 
 class TestBatchTelemetryFilter:
     def test_bit_identical_verdicts_and_state(self, tiny_registry):
-        fleet = make_fleet(
-            MIXED_SPECS, tiny_registry, fault_specs=FAULTS, batched=False
-        )
+        fleet = make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS)
         scalar = [TelemetryFilter(n.spec) for n in fleet.nodes]
         batch = BatchTelemetryFilter([n.spec for n in fleet.nodes])
         for _ in range(40):
@@ -149,9 +125,7 @@ class TestBatchTelemetryFilter:
         assert batch.node_state_dicts() == [f.state_dict() for f in scalar]
 
     def test_scalar_checkpoint_restores_into_batch(self, tiny_registry):
-        fleet = make_fleet(
-            MIXED_SPECS[:3], tiny_registry, fault_specs=FAULTS, batched=False
-        )
+        fleet = make_fleet(MIXED_SPECS[:3], tiny_registry, fault_specs=FAULTS)
         scalar = [TelemetryFilter(n.spec) for n in fleet.nodes]
         for _ in range(15):
             samples = fleet.step()
@@ -226,23 +200,19 @@ class TestRecordMany:
 
 
 class TestClusterManagerBatched:
-    def _build(self, registry, batched):
-        fleet = make_fleet(
-            MIXED_SPECS, registry, fault_specs=FAULTS, batched=batched
-        )
+    def _build(self, registry):
         return ClusterPowerManager(
-            fleet,
+            make_fleet(MIXED_SPECS, registry, fault_specs=FAULTS),
             cap_schedule=420.0,
             policy="waterfill",
             harden=True,
             ledger=PredictionLedger(),
             events=EventLog(),
-            batched=batched,
         )
 
     def test_full_loop_bit_identical(self, tiny_registry):
-        ma = self._build(tiny_registry, batched=True)
-        mb = self._build(tiny_registry, batched=False)
+        ma = self._build(tiny_registry)
+        mb = per_node(self._build(tiny_registry))
         ra = ma.run(30)
         rb = mb.run(30)
         # Decisions, shares, verdicts, and health: bit-identical.
@@ -259,14 +229,16 @@ class TestClusterManagerBatched:
         # verdicts, quarantine bookkeeping) agrees too.
         assert ma.state_dict() == mb.state_dict()
         assert ma.ledger.state_dict() == mb.ledger.state_dict()
+        assert ma.events.records == mb.events.records
 
     def test_cross_mode_checkpoint_swap(self, tiny_registry):
-        ma = self._build(tiny_registry, batched=True)
-        mb = self._build(tiny_registry, batched=False)
+        ma = self._build(tiny_registry)
+        mb = per_node(self._build(tiny_registry))
         ma.run(20)
         mb.run(20)
         # Both fleets are in the identical platform state (proven by the
-        # test above), so the manager checkpoints can swap across modes.
+        # test above), so the checkpoints can swap between the batched
+        # and the reference controller.
         sd_a, sd_b = ma.state_dict(), mb.state_dict()
         mb.load_state_dict(sd_a)
         ma.load_state_dict(sd_b)
@@ -279,29 +251,23 @@ class TestClusterManagerBatched:
 
 
 class TestShardPipelineBatched:
-    def test_batched_flag_decisions_identical(self, tiny_registry):
+    def test_cached_pricer_decisions_identical(self, tiny_registry):
         from repro.serve.shard import ShardPipeline
 
-        fleet = make_fleet(
-            [FX8320_SPEC] * 3,
-            tiny_registry,
-            fault_specs=FAULTS,
-            batched=False,
-        )
+        fleet = make_fleet([FX8320_SPEC] * 3, tiny_registry, fault_specs=FAULTS)
         names = [n.name for n in fleet.nodes]
         ppep = fleet.nodes[0].ppep
 
-        def build(batched):
+        def build():
             return ShardPipeline(
                 sku="fx8320",
                 spec=FX8320_SPEC,
                 ppep=ppep,
                 node_names=names,
                 budget_w=180.0,
-                batched=batched,
             )
 
-        fast, slow = build(True), build(False)
+        fast, slow = build(), per_node_shard(build())
         for _ in range(15):
             samples = fleet.step()
             for name, sample in zip(names, samples):

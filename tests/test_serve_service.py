@@ -116,6 +116,22 @@ class TestShardPipelineBehavior:
         with pytest.raises(ValueError, match="unhealthy_after"):
             ShardPipeline("s", FX8320_SPEC, ppep, ["a"], unhealthy_after=0)
 
+    def test_unknown_policy_rejected_at_construction(self, tiny_registry):
+        ppep = tiny_registry.get(FX8320_SPEC)
+        with pytest.raises(ValueError, match="unknown policy 'waterfil'"):
+            ShardPipeline("s", FX8320_SPEC, ppep, ["a"], policy="waterfil")
+        with pytest.raises(ValueError, match="unknown policy 'waterfil'"):
+            ShardSpec("s", FX8320_SPEC, ppep, ["a"], policy="waterfil")
+
+    def test_negative_budget_rejected_at_construction(self, tiny_registry):
+        ppep = tiny_registry.get(FX8320_SPEC)
+        with pytest.raises(ValueError, match="budget cannot be negative"):
+            ShardPipeline("s", FX8320_SPEC, ppep, ["a"], budget_w=-1.0)
+        with pytest.raises(ValueError, match="budget cannot be negative"):
+            ShardSpec("s", FX8320_SPEC, ppep, ["a"], budget_w=-1.0)
+        # Zero is a legal (if harsh) budget: every node gets nothing.
+        ShardSpec("s", FX8320_SPEC, ppep, ["a"], budget_w=0.0)
+
 
 class TestManagerRouting:
     def test_routes_and_backpressures(self, tiny_registry):
