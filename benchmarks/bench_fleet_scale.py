@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Fleet-kernel scale benchmark: nodes*intervals per second.
 
-Runs the full hardened cluster loop (batched fleet stepping, batched
-telemetry filtering, columnar ledger accounting, cached-pricer capping)
-at several roster sizes and compares against the legacy per-node
+Runs the full hardened cluster loop (batched fleet stepping, per-node
+telemetry filtering and ledger recording, cached-pricer capping) at
+several roster sizes and compares against the legacy per-node
 pipeline: the same loop with the per-node references of
-``tests/fleet_oracle.py`` swapped in (per-node ``Platform.step()``,
-per-node ``TelemetryFilter`` ingests, uncached ``predict_mixed``
-pricing in every capper trial).
+``tests/fleet_oracle.py`` swapped in (per-node ``Platform.step()`` and
+uncached ``predict_mixed`` pricing in every capper trial).  Filtering
+and ledger recording have one kernel each, so both modes share them.
 
 Gates (CI runs the small-roster smoke)::
 
