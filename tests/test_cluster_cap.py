@@ -180,3 +180,49 @@ class TestClusterPowerManager:
         assert all(len(row) == 2 for row in run.node_powers)
         assert len(run.fleet_powers) == 4
         assert run.total_instructions() > 0
+
+    def test_ledger_scores_repaired_power(self, tiny_registry):
+        """A spiked interval is scored against the filter's repaired
+        power, as the shard's HardenedPPEP scores it, while the run's
+        reported node powers stay raw."""
+        from repro.faults.filtering import REPAIRED, HardenedPPEP
+        from repro.obs.ledger import PredictionLedger
+        from tests.fleet_oracle import FAULTS, MIXED_SPECS
+
+        fleet = make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS)
+        manager = ClusterPowerManager(
+            fleet, 420.0, policy="waterfill", harden=True,
+            ledger=PredictionLedger(),
+        )
+        seen = []
+        ingest = manager._filters.ingest_many
+
+        def spy(samples):
+            verdicts = ingest(samples)
+            seen.append((samples[0], verdicts[0]))
+            return verdicts
+
+        manager._filters.ingest_many = spy
+        run = manager.run(30)
+
+        node = fleet.nodes[0]
+        shard = HardenedPPEP(node.ppep, node=node.name, ledger=PredictionLedger())
+        for sample, _verdict in seen:
+            shard.estimate_current(sample)
+        fleet_rows = {
+            r.interval: r for r in manager.ledger.records if r.node == node.name
+        }
+        shard_rows = {r.interval: r for r in shard.ledger.records}
+        spiked = [
+            t for t, (sample, verdict) in enumerate(seen)
+            if verdict.quality == REPAIRED and "spike" in verdict.issues
+            and t in fleet_rows
+        ]
+        assert spiked
+        for t in spiked:
+            sample, verdict = seen[t]
+            repaired = verdict.sample.measured_power
+            assert repaired != sample.measured_power
+            assert fleet_rows[t].measured_power == repaired
+            assert shard_rows[t].measured_power == repaired
+            assert run.node_powers[t][0] == sample.measured_power
