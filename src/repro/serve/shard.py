@@ -81,7 +81,10 @@ class ShardPipeline:
         Consecutive BAD intervals before a node is quarantined: pinned
         to the slowest VF decision and granted only its floor power.
     events / ledger_kwargs / filter_config / margin / bias_gain:
-        Observability sink and pipeline tunables.
+        Observability sink and pipeline tunables.  The shard's
+        :class:`~repro.obs.ledger.PredictionLedger` keeps no rows in
+        memory (``keep_records=False``): rows stream to ``events`` and
+        checkpoints exclude them; ``ledger_kwargs`` may override it.
     """
 
     def __init__(
@@ -120,7 +123,8 @@ class ShardPipeline:
             events,
         )
         self._index = {name: i for i, name in enumerate(self.node_names)}
-        self.ledger = PredictionLedger(events=events, **(ledger_kwargs or {}))
+        ledger_kwargs = {"keep_records": False, **(ledger_kwargs or {})}
+        self.ledger = PredictionLedger(events=events, **ledger_kwargs)
         self._budgets: Dict[str, ExternalBudget] = {}
         self._cappers: Dict[str, PPEPPowerCapper] = {}
         self._hardened: Dict[str, HardenedPPEP] = {}

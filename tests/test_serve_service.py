@@ -132,6 +132,26 @@ class TestShardPipelineBehavior:
         # Zero is a legal (if harsh) budget: every node gets nothing.
         ShardSpec("s", FX8320_SPEC, ppep, ["a"], budget_w=0.0)
 
+    def test_ledger_keeps_no_rows_in_memory(self, tiny_registry):
+        from repro.serve.protocol import sample_from_wire
+
+        pipeline = ShardPipeline(
+            sku="fx8320", spec=FX8320_SPEC,
+            ppep=tiny_registry.get(FX8320_SPEC), node_names=["solo"],
+        )
+        wire = _wire_events("solo", "fx8320", 12)
+        for e in wire:
+            pipeline.process("solo", sample_from_wire(e["sample"], FX8320_SPEC))
+        assert pipeline.ledger.records == []
+        assert pipeline.ledger.node_summary()["solo"]["records"] == len(wire)
+        kept = ShardPipeline(
+            sku="fx8320", spec=FX8320_SPEC,
+            ppep=tiny_registry.get(FX8320_SPEC), node_names=["solo"],
+            ledger_kwargs={"keep_records": True},
+        )
+        kept.process("solo", sample_from_wire(wire[0]["sample"], FX8320_SPEC))
+        assert len(kept.ledger.records) == 1
+
 
 class TestManagerRouting:
     def test_routes_and_backpressures(self, tiny_registry):
