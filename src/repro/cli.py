@@ -818,6 +818,9 @@ def _run_fleet(args) -> int:
     if args.nodes <= 0:
         print("--nodes must be positive")
         return 1
+    if any(cap is not None and not cap >= 0 for cap in (args.cap_high, args.cap_low)):
+        print("--cap-high and --cap-low must be non-negative numbers")
+        return 1
     skus = {"fx8320": FX8320_SPEC, "phenom2": PHENOM_II_SPEC}
     mix = [skus[name] for name in args.sku_mix]
     specs = [mix[i % len(mix)] for i in range(args.nodes)]

@@ -57,8 +57,10 @@ class ExternalBudget:
         self._value = float(initial)
 
     def set(self, watts: float) -> None:
-        if watts < 0:
-            raise ValueError("a power budget cannot be negative")
+        if not watts >= 0:
+            raise ValueError(
+                "a power budget cannot be negative or NaN, got {}".format(watts)
+            )
         self._value = float(watts)
 
     @property

@@ -63,13 +63,14 @@ CapSchedule = Callable[[int], float]
 
 
 def check_allocation(policy: str, budget: Optional[float] = None) -> None:
-    """Raise ``ValueError`` for an unknown policy or a negative budget."""
+    """Raise ``ValueError`` for an unknown policy or a negative or NaN
+    budget."""
     if policy not in ALLOCATION_POLICIES:
         raise ValueError(
             "unknown policy {!r}; choose from {}".format(policy, ALLOCATION_POLICIES)
         )
-    if budget is not None and budget < 0:
-        raise ValueError("budget cannot be negative")
+    if budget is not None and not budget >= 0:
+        raise ValueError("budget cannot be negative or NaN, got {}".format(budget))
 
 
 def allocate_budget(
@@ -335,10 +336,10 @@ class ClusterPowerManager:
         the VF assignment the manager chose against the power the node
         then measured -- the online Figure 7 accuracy.
 
-    Fleet stepping runs on the batched
-    :class:`~repro.fleet.engine.FleetEngine` and the node cappers price
-    trials through a cached mixed-assignment pricer; filtering and
-    ledger recording run their per-node kernels once per node.
+    Each node steps through its own ``platform.step()`` and the node
+    cappers price trials through a cached mixed-assignment pricer;
+    filtering and ledger recording run their per-node kernels once per
+    node.
     """
 
     def __init__(
@@ -354,7 +355,7 @@ class ClusterPowerManager:
         events=None,
         ledger=None,
     ) -> None:
-        check_allocation(policy)
+        check_allocation(policy, None if callable(cap_schedule) else cap_schedule)
         self.fleet = fleet
         self.policy = policy
         self._schedule = (

@@ -395,8 +395,8 @@ class PredictionLedger:
         registry = get_registry()
         if registry.enabled:
             # Skip instrument lookup/formatting wholesale when
-            # observability is off -- the fleet kernel benchmark should
-            # measure the kernel, not no-op metric plumbing.
+            # observability is off -- the fleet-loop benchmark should
+            # measure the loop, not no-op metric plumbing.
             registry.counter("obs.ledger.records").inc()
             registry.gauge(state.gauge_name).set(state.abs_stats.mean)
 

@@ -1,20 +1,17 @@
-"""Per-node reference pieces for the fleet kernel's bit-identity checks.
+"""Per-node reference pieces for the fleet layers' bit-identity checks.
 
-The cluster controllers step the fleet with a batched kernel
-(:class:`~repro.fleet.engine.FleetEngine`) and price capper trials
-with a cached pricer (:class:`~repro.core.ppep.MixedPricer`).  Each is
-pinned bit-identical to a plain per-node reference.  This module holds
-those references and swaps them into an already-built controller, so
-the controller's own loop runs unchanged on top of them:
+The cluster controllers price capper trials with a cached pricer
+(:class:`~repro.core.ppep.MixedPricer`), pinned bit-identical to
+pricing every candidate assignment from scratch with
+:meth:`~repro.core.ppep.PPEP.predict_mixed`.  This module holds that
+reference and swaps it into an already-built controller, so the
+controller's own loop runs unchanged on top of it.
 
-- stepping: one ``platform.step()`` per node;
-- pricing: every candidate assignment priced from scratch by
-  :meth:`~repro.core.ppep.PPEP.predict_mixed`.
-
-Telemetry filtering and ledger recording have a single per-node kernel
-each, so there is nothing to swap for them.
-``tests/test_fleet_batch.py`` and ``benchmarks/bench_fleet_scale.py``
-both build their reference runs with :func:`per_node`.
+Fleet stepping (one ``platform.step()`` per node), telemetry filtering
+and ledger recording have a single kernel each, so there is nothing to
+swap for them.  ``tests/test_fleet_batch.py`` and
+``benchmarks/bench_fleet_scale.py`` both build their reference runs
+with :func:`per_node`.
 """
 
 from repro.faults.injection import FaultSpec
@@ -23,7 +20,6 @@ from repro.hardware.microarch import FX8320_SPEC, PHENOM_II_SPEC
 __all__ = [
     "FAULTS",
     "MIXED_SPECS",
-    "PerNodeStepper",
     "UncachedModel",
     "per_node",
     "per_node_shard",
@@ -51,16 +47,6 @@ FAULTS = [
     None,
     FaultSpec(dropout_after_interval=12),
 ]
-
-
-class PerNodeStepper:
-    """Fleet stepping as one ``platform.step()`` per node."""
-
-    def __init__(self, nodes) -> None:
-        self.nodes = list(nodes)
-
-    def step(self):
-        return [node.platform.step() for node in self.nodes]
 
 
 class _UncachedPricer:
@@ -92,10 +78,8 @@ def _uncache(cappers) -> None:
 
 
 def per_node(manager):
-    """Swap the batched stepping and cached pricing of a ClusterPowerManager
-    for their references.  Returns the manager."""
-    fleet = manager.fleet
-    fleet._engine = PerNodeStepper(fleet.nodes)
+    """Swap the cached pricing of a ClusterPowerManager for uncached
+    ``predict_mixed`` calls.  Returns the manager."""
     _uncache(manager._cappers)
     return manager
 

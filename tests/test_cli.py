@@ -173,6 +173,11 @@ class TestFleetCommand:
     def test_fleet_rejects_nonpositive_nodes(self, capsys):
         assert main(["fleet", "--nodes", "0"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--cap-high", "--cap-low"])
+    def test_fleet_rejects_nan_cap_before_training(self, flag, capsys):
+        assert main(["fleet", flag, "nan"]) == 1
+        assert "non-negative" in capsys.readouterr().out
+
 
 class TestReportCommand:
     def test_assembles_reports(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dvfs.power_capping import square_wave_cap
 from repro.fleet import ClusterPowerManager, allocate_budget, make_fleet
-from repro.fleet.cluster_cap import QuarantinePolicy
+from repro.fleet.cluster_cap import QuarantinePolicy, check_allocation
 from repro.obs.events import EventLog
 from repro.hardware.microarch import FX8320_SPEC
 
@@ -82,6 +82,11 @@ class TestAllocateBudget:
         with pytest.raises(ValueError):
             allocate_budget("uniform", 50.0, self.DEMAND, self.FLOOR[:2])
 
+    def test_check_allocation_rejects_nan_budget(self):
+        with pytest.raises(ValueError, match="NaN"):
+            check_allocation("waterfill", float("nan"))
+        check_allocation("waterfill", float("inf"))
+
 
 class TestQuarantinePolicy:
     def test_streak_quarantine_and_readmission(self):
@@ -120,6 +125,12 @@ class TestClusterPowerManager:
         fleet = make_fleet([FX8320_SPEC], tiny_registry)
         with pytest.raises(ValueError):
             ClusterPowerManager(fleet, 100.0, policy="nonsense")
+
+    @pytest.mark.parametrize("cap", [-5.0, float("nan")])
+    def test_rejects_bad_constant_cap_at_construction(self, tiny_registry, cap):
+        fleet = make_fleet([FX8320_SPEC], tiny_registry)
+        with pytest.raises(ValueError, match="budget cannot be negative"):
+            ClusterPowerManager(fleet, cap, policy="waterfill")
 
     def test_rejects_empty_run(self, tiny_registry):
         fleet = make_fleet([FX8320_SPEC], tiny_registry)

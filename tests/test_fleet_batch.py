@@ -1,16 +1,16 @@
-"""Batched-vs-per-node equivalence for the fleet struct-of-arrays kernel.
+"""Fleet-layer equivalence against the per-node references.
 
-The fleet kernel's contract is not "close": every layer -- stepping
-(:class:`~repro.fleet.engine.FleetEngine`), filtering
+The fleet's contract is not "close": capper pricing
+(:class:`~repro.core.ppep.MixedPricer`), the telemetry-filter roster
 (:class:`~repro.faults.filtering.BatchTelemetryFilter`), ledger
 accounting (:meth:`~repro.obs.ledger.PredictionLedger.record_many`),
-capper pricing (:class:`~repro.core.ppep.MixedPricer`), and the
-:class:`~repro.fleet.cluster_cap.ClusterPowerManager` loop built on
-them -- must reproduce the per-node references of
-:mod:`tests.fleet_oracle` bit for bit, the same way ``VectorEngine`` is
-proven against the scalar engine.  These tests run mixed-SKU rosters
-with ~5% fault rates, drive quarantine enter/exit, and swap checkpoints
-between the batched and the reference controller mid-run.
+and the :class:`~repro.fleet.cluster_cap.ClusterPowerManager` loop
+built on them must reproduce the per-node references of
+:mod:`tests.fleet_oracle` bit for bit.  Fleet stepping is one
+``platform.step()`` per node, so the controller and its reference step
+through the same code.  These tests run mixed-SKU rosters with ~5%
+fault rates, drive quarantine enter/exit, and swap checkpoints between
+the cached-pricer and the reference controller mid-run.
 """
 
 import random
@@ -24,45 +24,10 @@ from repro.obs.ledger import PredictionLedger
 from tests.fleet_oracle import (
     FAULTS,
     MIXED_SPECS,
-    PerNodeStepper,
     UncachedModel,
     per_node,
     per_node_shard,
 )
-
-
-def _sample_fields(sample):
-    return (
-        sample.index,
-        sample.time,
-        list(sample.power_samples),
-        sample.measured_power,
-        sample.temperature,
-        [vec.as_list() for vec in sample.core_events],
-        [vec.as_list() for vec in sample.true_core_events],
-        list(sample.instructions),
-        sample.true_power,
-        sample.nb_utilisation,
-        sample.interval_s,
-    )
-
-
-class TestFleetEngineStepping:
-    def test_batched_step_bit_identical(self, tiny_registry):
-        batched = make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS)
-        scalar = PerNodeStepper(
-            make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS).nodes
-        )
-        batched_intervals = 0
-        for _ in range(30):
-            rows_a = batched.step()
-            rows_b = scalar.step()
-            for a, b in zip(rows_a, rows_b):
-                assert _sample_fields(a) == _sample_fields(b)
-            batched_intervals += batched._engine.last_batched
-        # The kernel actually batched work (whole-interval-steady nodes
-        # exist in this workload mix); ineligible intervals fall back.
-        assert batched_intervals > 0
 
 
 class TestMixedPricer:
@@ -237,8 +202,8 @@ class TestClusterManagerBatched:
         ma.run(20)
         mb.run(20)
         # Both fleets are in the identical platform state (proven by the
-        # test above), so the checkpoints can swap between the batched
-        # and the reference controller.
+        # test above), so the checkpoints can swap between the
+        # cached-pricer and the reference controller.
         sd_a, sd_b = ma.state_dict(), mb.state_dict()
         mb.load_state_dict(sd_a)
         ma.load_state_dict(sd_b)

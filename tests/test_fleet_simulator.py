@@ -105,23 +105,3 @@ class TestBatchedPrediction:
         samples = fleet.step()
         pred = fleet.predict(samples)
         assert (pred.demand > pred.floor).all()
-
-    def test_analyze_builds_full_snapshots(self, fleet):
-        samples = fleet.step()
-        snapshots = fleet.analyze(samples)
-        assert len(snapshots) == len(fleet)
-        for node, sample, snap in zip(fleet.nodes, samples, snapshots):
-            reference = node.ppep.analyze(sample)
-            assert snap.measured_power == sample.measured_power
-            assert set(snap.predictions) == set(reference.predictions)
-            for vf_index, scalar in reference.predictions.items():
-                batched = snap.predictions[vf_index]
-                assert batched.chip_power == pytest.approx(
-                    scalar.chip_power, rel=1e-9
-                )
-                assert batched.core_cpis == pytest.approx(
-                    scalar.core_cpis, rel=1e-9
-                )
-            assert snap.current_estimate == pytest.approx(
-                reference.current_estimate, rel=1e-9
-            )

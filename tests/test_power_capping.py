@@ -150,6 +150,14 @@ class TestExternalBudget:
         with pytest.raises(ValueError):
             ExternalBudget().set(-1.0)
 
+    def test_rejects_nan_keeps_inf(self):
+        budget = ExternalBudget(50.0)
+        with pytest.raises(ValueError, match="NaN"):
+            budget.set(float("nan"))
+        assert budget.value == 50.0
+        budget.set(float("inf"))
+        assert budget.value == float("inf")
+
 
 class TestEvaluatePowerSeries:
     def test_matches_evaluate_capping(self):
